@@ -6,6 +6,7 @@
 //! cluster); the *shapes* — orderings, ratios, crossovers — are the
 //! reproduction target and are noted per table.
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use stance::balance::{redistribute_values, BalancerConfig};
@@ -25,6 +26,13 @@ use stance::sim::Cluster;
 
 use crate::fmt::{secs, TableBuilder};
 use crate::{iteration_count, random_capabilities, sample_count, workload_rng};
+
+/// The RSB-ordered paper mesh (seed 42) that Tables 3–5 share, built once
+/// per process: the ordering dominates a `repro_all` run's setup.
+fn rsb_paper_mesh() -> &'static Graph {
+    static MESH: OnceLock<Graph> = OnceLock::new();
+    MESH.get_or_init(|| scenarios::paper_mesh_ordered(OrderingMethod::Spectral, 42))
+}
 
 /// Paper Table 1: execution time of `MinimizeCostRedistribution` (wall
 /// clock, seconds) as the number of workstations grows. Expected shape:
@@ -154,7 +162,7 @@ pub fn table3() -> String {
     let paper_sort1 = [0.247, 0.171, 0.136, 0.131];
     let paper_sort2 = [0.236, 0.169, 0.130, 0.125];
     let paper_simple = [0.2, 0.188, 0.176, 0.290];
-    let mesh = scenarios::paper_mesh_ordered(OrderingMethod::Spectral, 42);
+    let mesh = rsb_paper_mesh();
 
     let mut out = TableBuilder::new(
         "Table 3: Time to build communication schedule, simulated seconds",
@@ -163,7 +171,7 @@ pub fn table3() -> String {
     for strategy in ScheduleStrategy::ALL {
         let mut cells = vec![strategy.name().to_string()];
         for p in 2..=5usize {
-            cells.push(secs(measure_schedule_build(&mesh, p, strategy)));
+            cells.push(secs(measure_schedule_build(mesh, p, strategy)));
         }
         let paper_row = match strategy {
             ScheduleStrategy::Sort1 => &paper_sort1,
@@ -221,12 +229,12 @@ pub fn table4() -> String {
         (5, 31.50, 0.62),
     ];
     let iters = iteration_count();
-    let mesh = scenarios::paper_mesh_ordered(OrderingMethod::Spectral, 42);
+    let mesh = rsb_paper_mesh();
     let config = StanceConfig::default().without_load_balancing();
 
     // Sequential reference times per §4: on machine i alone the task takes
     // seq_work / speed_i. All paper machines have speed 1.
-    let seq_time = measure_static_run(&mesh, 1, iters, &config);
+    let seq_time = measure_static_run(mesh, 1, iters, &config);
 
     let mut out = TableBuilder::new(
         format!(
@@ -244,7 +252,7 @@ pub fn table4() -> String {
         let t = if p == 1 {
             seq_time
         } else {
-            measure_static_run(&mesh, p, iters, &config)
+            measure_static_run(mesh, p, iters, &config)
         };
         let seq_times = vec![seq_time; p];
         let e = stance::static_efficiency(t, &seq_times);
@@ -338,7 +346,7 @@ pub fn table5() -> String {
         (5, Some((40.56, 79.32, 0.011, 0.17)), 0.0),
     ];
     let iters = iteration_count();
-    let mesh = scenarios::paper_mesh_ordered(OrderingMethod::Spectral, 42);
+    let mesh = rsb_paper_mesh();
 
     let mut out = TableBuilder::new(
         format!(
@@ -360,7 +368,7 @@ pub fn table5() -> String {
             let report = Cluster::new(spec).run(|env| {
                 let mut s = AdaptiveSession::setup(
                     env,
-                    &mesh,
+                    mesh,
                     RelaxationKernel,
                     scenarios::initial_value,
                     &config,
@@ -377,7 +385,7 @@ pub fn table5() -> String {
             ]);
             continue;
         }
-        let (with_lb, without_lb, check, rebalance) = measure_adaptive_run(&mesh, p, iters);
+        let (with_lb, without_lb, check, rebalance) = measure_adaptive_run(mesh, p, iters);
         let (pl, pn, pc, pr) = paper_cells.expect("multi-workstation rows have paper numbers");
         out.row(vec![
             format!("1..{p}"),

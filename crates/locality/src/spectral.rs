@@ -12,6 +12,19 @@
 //! iteration with full reorthogonalization (deflating the trivial constant
 //! eigenvector), and the small tridiagonal eigenproblem is solved with the
 //! classic implicit-QL (`tql2`) algorithm.
+//!
+//! # Concurrency and determinism
+//!
+//! The two halves of a bisection (and the pieces of a disconnected graph)
+//! are independent subproblems. When both sides hold at least
+//! `PARALLEL_CUTOFF` vertices, [`spectral_ordering`] orders the left side on
+//! a scoped thread and the right side on the current one, splitting the
+//! `available_parallelism()` budget in halves down the tree. Each subproblem
+//! is a pure function of its vertex set, and the segments are always
+//! concatenated left then right, so the returned [`Ordering`] is
+//! bit-for-bit the same for every thread count and every schedule.
+
+use std::num::NonZeroUsize;
 
 use crate::graph::Graph;
 use crate::ordering::Ordering;
@@ -20,36 +33,43 @@ use crate::ordering::Ordering;
 /// eigen-solve (Lanczos on tiny graphs is all overhead).
 const SMALL_CUTOFF: usize = 8;
 
+/// Sibling subproblems are ordered concurrently only when both sides have at
+/// least this many vertices (below it a thread spawn costs more than it
+/// saves).
+const PARALLEL_CUTOFF: usize = 1024;
+
 /// Maximum Lanczos steps per bisection level.
 const MAX_LANCZOS_STEPS: usize = 80;
 
-/// Computes the recursive-spectral-bisection ordering.
+/// Computes the recursive-spectral-bisection ordering, using up to
+/// `available_parallelism()` threads. The result does not depend on the
+/// thread count.
 pub fn spectral_ordering(graph: &Graph) -> Ordering {
-    let n = graph.num_vertices();
-    let mut seq = Vec::with_capacity(n);
-    let ids: Vec<u32> = (0..n as u32).collect();
-    rsb(graph, ids, &mut seq);
-    Ordering::from_sequence(&seq)
+    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    spectral_ordering_with(graph, threads)
 }
 
-fn rsb(root: &Graph, ids: Vec<u32>, seq: &mut Vec<u32>) {
+/// [`spectral_ordering`] with an explicit thread budget (`threads ≥ 1`).
+fn spectral_ordering_with(graph: &Graph, threads: usize) -> Ordering {
+    let ids: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+    Ordering::from_sequence(&rsb(graph, ids, threads))
+}
+
+/// Orders the vertex set `ids` of `root`; returns it as a sequence segment.
+fn rsb(root: &Graph, ids: Vec<u32>, threads: usize) -> Vec<u32> {
     if ids.len() <= SMALL_CUTOFF {
-        order_small(root, &ids, seq);
-        return;
+        return order_small(root, &ids);
     }
     let (sub, back) = root.induced_subgraph(&ids);
     let (comp, count) = sub.connected_components();
     if count > 1 {
-        // Recurse per component in component order (components are
+        // Order per component in component order (components are
         // discovered in ascending vertex order, so this is deterministic).
         let mut groups: Vec<Vec<u32>> = vec![Vec::new(); count];
         for (v, &c) in comp.iter().enumerate() {
             groups[c as usize].push(back[v]);
         }
-        for group in groups {
-            rsb(root, group, seq);
-        }
-        return;
+        return rsb_groups(root, groups, threads);
     }
     let fiedler = fiedler_vector(&sub);
     let mut order: Vec<u32> = (0..sub.num_vertices() as u32).collect();
@@ -68,8 +88,35 @@ fn rsb(root: &Graph, ids: Vec<u32>, seq: &mut Vec<u32>) {
     let mid = order.len() / 2;
     let left: Vec<u32> = order[..mid].iter().map(|&v| back[v as usize]).collect();
     let right: Vec<u32> = order[mid..].iter().map(|&v| back[v as usize]).collect();
-    rsb(root, left, seq);
-    rsb(root, right, seq);
+    rsb_groups(root, vec![left, right], threads)
+}
+
+/// Orders each group and concatenates the segments in group order. The
+/// group list is halved recursively; the two halves run concurrently when
+/// the budget allows and both hold at least [`PARALLEL_CUTOFF`] vertices.
+fn rsb_groups(root: &Graph, mut groups: Vec<Vec<u32>>, threads: usize) -> Vec<u32> {
+    if groups.len() == 1 {
+        return rsb(root, groups.pop().expect("one group"), threads);
+    }
+    let right = groups.split_off(groups.len() / 2);
+    let size = |gs: &[Vec<u32>]| gs.iter().map(Vec::len).sum::<usize>();
+    let concurrent =
+        threads > 1 && size(&groups) >= PARALLEL_CUTOFF && size(&right) >= PARALLEL_CUTOFF;
+    let (mut seq, tail) = if concurrent {
+        let left_threads = threads / 2;
+        std::thread::scope(|s| {
+            let left = s.spawn(|| rsb_groups(root, groups, left_threads));
+            let tail = rsb_groups(root, right, threads - left_threads);
+            (left.join().expect("RSB subtree thread panicked"), tail)
+        })
+    } else {
+        (
+            rsb_groups(root, groups, threads),
+            rsb_groups(root, right, threads),
+        )
+    };
+    seq.extend(tail);
+    seq
 }
 
 /// Reverses `order` if it anti-correlates with parent positions (sub ids
@@ -93,9 +140,9 @@ fn orient_to_parent(order: &mut [u32]) {
 /// Orders a small vertex set by BFS over its induced subgraph, starting from
 /// a pseudo-peripheral vertex (the Cuthill–McKee trick: BFS from an endpoint
 /// keeps chains sequential), oriented to match the parent order.
-fn order_small(root: &Graph, ids: &[u32], seq: &mut Vec<u32>) {
+fn order_small(root: &Graph, ids: &[u32]) -> Vec<u32> {
     if ids.is_empty() {
-        return;
+        return Vec::new();
     }
     let (sub, back) = root.induced_subgraph(ids);
     let n = sub.num_vertices();
@@ -122,7 +169,7 @@ fn order_small(root: &Graph, ids: &[u32], seq: &mut Vec<u32>) {
         }
     }
     orient_to_parent(&mut local);
-    seq.extend(local.into_iter().map(|v| back[v as usize]));
+    local.into_iter().map(|v| back[v as usize]).collect()
 }
 
 /// The vertex (within the unvisited component containing `start`) farthest
@@ -247,11 +294,10 @@ fn lanczos_smallest(graph: &Graph, start: &[f64]) -> Vec<f64> {
     }
 
     let k = alphas.len();
-    let (eigvals, eigvecs) = tridiag_eigen(&alphas, &betas[..k.saturating_sub(1)]);
-    // Smallest Ritz value = first after ascending sort (done inside).
-    let smallest = 0;
-    let _ = eigvals;
-    let s = &eigvecs[smallest];
+    // Eigenvectors come sorted by ascending eigenvalue: take the smallest.
+    let s = tridiag_eigen(&alphas, &betas[..k.saturating_sub(1)])
+        .1
+        .swap_remove(0);
     let mut out = vec![0.0; n];
     for (j, b) in basis.iter().enumerate().take(k) {
         axpy(&mut out, s[j], b);
@@ -321,10 +367,12 @@ pub fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>)
     let mut d = diag.to_vec();
     let mut e = vec![0.0; n];
     e[..n - 1].copy_from_slice(offdiag);
-    // Row-major; z[r][c]; columns become eigenvectors.
-    let mut z = vec![vec![0.0; n]; n];
-    for (i, row) in z.iter_mut().enumerate() {
-        row[i] = 1.0;
+    // Column-major: z[c * n + r] is row r of column c, so each Givens
+    // rotation below sweeps two contiguous columns. Columns become
+    // eigenvectors.
+    let mut z = vec![0.0; n * n];
+    for i in 0..n {
+        z[i * n + i] = 1.0;
     }
 
     let eps = f64::EPSILON;
@@ -353,7 +401,7 @@ pub fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>)
                 d[l] = e[l] / (p + r);
                 d[l + 1] = e[l] * (p + r);
                 let dl1 = d[l + 1];
-                let mut h = g - d[l];
+                let h = g - d[l];
                 for item in d.iter_mut().skip(l + 2) {
                     *item -= h;
                 }
@@ -371,17 +419,20 @@ pub fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>)
                     c2 = c;
                     s2 = s;
                     let g2 = c * e[i];
-                    h = c * p;
+                    let h = c * p;
                     r = p.hypot(e[i]);
                     e[i + 1] = s * r;
                     s = e[i] / r;
                     c = p / r;
                     p = c * d[i] - s * g2;
                     d[i + 1] = h + s * (c * g2 + s * d[i]);
-                    for row in &mut z {
-                        h = row[i + 1];
-                        row[i + 1] = s * row[i] + c * h;
-                        row[i] = c * row[i] - s * h;
+                    let (head, tail) = z.split_at_mut((i + 1) * n);
+                    let zi = &mut head[i * n..];
+                    let zi1 = &mut tail[..n];
+                    for (a, b) in zi.iter_mut().zip(zi1.iter_mut()) {
+                        let h = *b;
+                        *b = s * *a + c * h;
+                        *a = c * *a - s * h;
                     }
                 }
                 p = -s * s2 * c3 * el1 * e[l] / dl1;
@@ -402,7 +453,7 @@ pub fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>)
     let eigvals: Vec<f64> = order.iter().map(|&j| d[j]).collect();
     let eigvecs: Vec<Vec<f64>> = order
         .iter()
-        .map(|&j| (0..n).map(|r| z[r][j]).collect())
+        .map(|&j| z[j * n..(j + 1) * n].to_vec())
         .collect();
     (eigvals, eigvecs)
 }
@@ -410,7 +461,10 @@ pub fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meshgen;
     use crate::metrics::average_edge_span;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn path(n: usize) -> Graph {
         let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
@@ -613,5 +667,218 @@ mod tests {
     fn spectral_deterministic() {
         let g = grid(6, 6);
         assert_eq!(spectral_ordering(&g), spectral_ordering(&g));
+    }
+
+    /// Frozen reference: the row-major `tql2` that [`tridiag_eigen`]
+    /// replaced (`z[r][c]`, so each rotation strides across `k` heap rows).
+    /// The column-major version must reproduce it bit for bit.
+    fn tridiag_eigen_row_major(diag: &[f64], offdiag: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>) {
+        let n = diag.len();
+        assert!(n > 0, "empty tridiagonal matrix");
+        assert_eq!(offdiag.len(), n - 1, "offdiag must have length n - 1");
+        let mut d = diag.to_vec();
+        let mut e = vec![0.0; n];
+        e[..n - 1].copy_from_slice(offdiag);
+        // Row-major; z[r][c]; columns become eigenvectors.
+        let mut z = vec![vec![0.0; n]; n];
+        for (i, row) in z.iter_mut().enumerate() {
+            row[i] = 1.0;
+        }
+
+        let eps = f64::EPSILON;
+        let mut f = 0.0;
+        let mut tst1: f64 = 0.0;
+        for l in 0..n {
+            tst1 = tst1.max(d[l].abs() + e[l].abs());
+            let mut m = l;
+            while m < n {
+                if e[m].abs() <= eps * tst1 {
+                    break;
+                }
+                m += 1;
+            }
+            if m > l {
+                let mut iter = 0;
+                loop {
+                    iter += 1;
+                    // Compute implicit shift.
+                    let g = d[l];
+                    let mut p = (d[l + 1] - g) / (2.0 * e[l]);
+                    let mut r = p.hypot(1.0);
+                    if p < 0.0 {
+                        r = -r;
+                    }
+                    d[l] = e[l] / (p + r);
+                    d[l + 1] = e[l] * (p + r);
+                    let dl1 = d[l + 1];
+                    let mut h = g - d[l];
+                    for item in d.iter_mut().skip(l + 2) {
+                        *item -= h;
+                    }
+                    f += h;
+                    // Implicit QL transformation.
+                    p = d[m];
+                    let mut c = 1.0;
+                    let mut c2 = c;
+                    let mut c3 = c;
+                    let el1 = e[l + 1];
+                    let mut s = 0.0;
+                    let mut s2 = 0.0;
+                    for i in (l..m).rev() {
+                        c3 = c2;
+                        c2 = c;
+                        s2 = s;
+                        let g2 = c * e[i];
+                        h = c * p;
+                        r = p.hypot(e[i]);
+                        e[i + 1] = s * r;
+                        s = e[i] / r;
+                        c = p / r;
+                        p = c * d[i] - s * g2;
+                        d[i + 1] = h + s * (c * g2 + s * d[i]);
+                        for row in &mut z {
+                            h = row[i + 1];
+                            row[i + 1] = s * row[i] + c * h;
+                            row[i] = c * row[i] - s * h;
+                        }
+                    }
+                    p = -s * s2 * c3 * el1 * e[l] / dl1;
+                    e[l] = s * p;
+                    d[l] = c * p;
+                    if e[l].abs() <= eps * tst1 || iter >= 50 {
+                        break;
+                    }
+                }
+            }
+            d[l] += f;
+            e[l] = 0.0;
+        }
+
+        // Sort ascending, carrying eigenvectors (columns of z).
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("eigenvalues are finite"));
+        let eigvals: Vec<f64> = order.iter().map(|&j| d[j]).collect();
+        let eigvecs: Vec<Vec<f64>> = order
+            .iter()
+            .map(|&j| (0..n).map(|r| z[r][j]).collect())
+            .collect();
+        (eigvals, eigvecs)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Seeded random tridiagonals of every size up to the Lanczos step cap.
+    /// About one off-diagonal in five is exactly zero (splitting the matrix
+    /// into independent blocks), and the diagonal draws from a small set of
+    /// values so split blocks share eigenvalues (ties in the sort).
+    fn random_tridiagonals() -> impl Iterator<Item = (Vec<f64>, Vec<f64>)> {
+        let mut rng = StdRng::seed_from_u64(0x7D1A6);
+        (1..=MAX_LANCZOS_STEPS).flat_map(move |k| {
+            (0..3)
+                .map(|_| {
+                    let diag: Vec<f64> = (0..k)
+                        .map(|_| {
+                            if rng.random::<f64>() < 0.3 {
+                                f64::from(rng.random::<u32>() % 4)
+                            } else {
+                                4.0 * rng.random::<f64>() - 1.0
+                            }
+                        })
+                        .collect();
+                    let offdiag: Vec<f64> = (0..k - 1)
+                        .map(|_| {
+                            if rng.random::<f64>() < 0.2 {
+                                0.0
+                            } else {
+                                2.0 * rng.random::<f64>() - 1.0
+                            }
+                        })
+                        .collect();
+                    (diag, offdiag)
+                })
+                .collect::<Vec<_>>()
+        })
+    }
+
+    #[test]
+    fn column_major_tql2_matches_frozen_row_major_bitwise() {
+        // Diagonal matrices with exactly tied eigenvalues: tied columns must
+        // come out in the reference's (stable-sort) order.
+        let ties = [
+            (vec![0.5; 4], vec![0.0; 3]),
+            (vec![3.0, -1.0, 2.0, -1.0], vec![0.0; 3]),
+        ];
+        let mut split = 0;
+        for (diag, offdiag) in random_tridiagonals().chain(ties) {
+            split += usize::from(offdiag.contains(&0.0));
+            let (vals, vecs) = tridiag_eigen(&diag, &offdiag);
+            let (ref_vals, ref_vecs) = tridiag_eigen_row_major(&diag, &offdiag);
+            let k = diag.len();
+            assert_eq!(bits(&vals), bits(&ref_vals), "eigenvalues, k = {k}");
+            assert_eq!(vecs.len(), k);
+            for (j, (v, r)) in vecs.iter().zip(&ref_vecs).enumerate() {
+                assert_eq!(bits(v), bits(r), "eigenvector {j}, k = {k}");
+            }
+        }
+        assert!(split > 100, "only {split} inputs had a zero off-diagonal");
+    }
+
+    /// A shuffled, thinned triangulated grid (the paper-mesh construction
+    /// at a smaller size).
+    fn shuffled_mesh(nx: usize, ny: usize, seed: u64) -> Graph {
+        let grid = meshgen::triangulated_grid(nx, ny, 0.5, seed);
+        let thinned = meshgen::thin_to_edges(&grid, grid.num_vertices() * 3 / 2, seed);
+        meshgen::shuffle_labels(&thinned, seed)
+    }
+
+    #[test]
+    fn ordering_is_independent_of_thread_count() {
+        // 4 356 vertices: the top split and both second-level splits have
+        // halves above PARALLEL_CUTOFF, so budgets 2..8 take the concurrent
+        // path at one or two levels.
+        let g = shuffled_mesh(66, 66, 5);
+        assert!(g.num_vertices() >= 4 * PARALLEL_CUTOFF);
+        let serial = spectral_ordering_with(&g, 1);
+        for threads in [2, 3, 4, 8] {
+            assert_eq!(
+                spectral_ordering_with(&g, threads),
+                serial,
+                "threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn disconnected_ordering_is_independent_of_thread_count() {
+        // Two meshes above PARALLEL_CUTOFF plus an isolated vertex, labels
+        // interleaved: the component pieces are ordered concurrently.
+        let a = shuffled_mesh(36, 36, 8);
+        let b = shuffled_mesh(33, 40, 9);
+        let (na, nb) = (a.num_vertices(), b.num_vertices());
+        assert!(na >= PARALLEL_CUTOFF && nb >= PARALLEL_CUTOFF);
+        let shift = na as u32;
+        let edges: Vec<(u32, u32)> = a
+            .edges()
+            .chain(b.edges().map(|(u, v)| (u + shift, v + shift)))
+            .collect();
+        let mut coords = a.coords().to_vec();
+        coords.extend_from_slice(b.coords());
+        coords.push([0.0; 3]);
+        let union = Graph::from_edges(na + nb + 1, &edges, coords, 2);
+        let g = meshgen::shuffle_labels(&union, 3);
+        assert_eq!(g.connected_components().1, 3);
+        let serial = spectral_ordering_with(&g, 1);
+        let mut seq = serial.sequence();
+        seq.sort_unstable();
+        assert_eq!(seq, (0..g.num_vertices() as u32).collect::<Vec<u32>>());
+        for threads in [2, 3, 4] {
+            assert_eq!(
+                spectral_ordering_with(&g, threads),
+                serial,
+                "threads = {threads}"
+            );
+        }
     }
 }
