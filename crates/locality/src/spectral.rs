@@ -9,9 +9,15 @@
 //! Liou \[26\] in the paper's bibliography).
 //!
 //! Everything is self-contained: the Fiedler vector comes from a Lanczos
-//! iteration with full reorthogonalization (deflating the trivial constant
-//! eigenvector), and the small tridiagonal eigenproblem is solved with the
-//! classic implicit-QL (`tql2`) algorithm.
+//! iteration (deflating the trivial constant eigenvector) with partial
+//! reorthogonalization: Simon's ω-recurrence estimates how far the basis
+//! has drifted from orthogonal, and the new vector is orthogonalized
+//! against the whole basis only when an estimate passes `√ε`. A run whose
+//! step count exceeds half the vertex count (`2·steps > n`) loses
+//! orthogonality faster than the estimate tracks, so it orthogonalizes at
+//! every step. The small tridiagonal eigenproblem is solved with the
+//! classic implicit-QL (`tql2`) recurrences; the Ritz vector needs only
+//! the smallest eigenvector, which is rebuilt from the logged rotations.
 //!
 //! # Concurrency and determinism
 //!
@@ -201,6 +207,11 @@ fn bfs_farthest(sub: &Graph, start: usize, global_seen: &[bool]) -> usize {
 /// normalized to unit length. The sign is fixed so the first nonzero
 /// component is positive (deterministic output).
 ///
+/// Two Lanczos runs of up to 80 steps with partial reorthogonalization (the
+/// basis is orthogonalized only when its estimated loss of orthogonality
+/// passes `√ε`, and at every step when `2·steps > n`), the second restarted
+/// from the first run's Ritz vector.
+///
 /// # Panics
 /// Panics if the graph is empty.
 pub fn fiedler_vector(graph: &Graph) -> Vec<f64> {
@@ -252,11 +263,52 @@ fn deterministic_start(n: usize) -> Vec<f64> {
 /// One Lanczos run on the Laplacian, deflating the constant vector; returns
 /// the Ritz vector for the smallest remaining eigenvalue (≈ λ₂).
 fn lanczos_smallest(graph: &Graph, start: &[f64]) -> Vec<f64> {
+    let krylov = lanczos(graph, start);
+    let s = smallest_eigenvector(&krylov.alphas, &krylov.betas);
+    let mut out = vec![0.0; graph.num_vertices()];
+    for (&sj, b) in s.iter().zip(&krylov.basis) {
+        axpy(&mut out, sj, b);
+    }
+    normalize(&mut out);
+    out
+}
+
+/// One Lanczos run: the basis `q_0 … q_{k−1}` and the tridiagonal model
+/// (`alphas` of length `k`, `betas` of length `k − 1`).
+struct Krylov {
+    basis: Vec<Vec<f64>>,
+    alphas: Vec<f64>,
+    betas: Vec<f64>,
+    /// Steps that orthogonalized against the whole basis (read by tests).
+    #[cfg_attr(not(test), allow(dead_code))]
+    reorthogonalized: usize,
+}
+
+/// Lanczos on the Laplacian with the constant vector projected out at every
+/// step and partial reorthogonalization (Simon 1984). The ω-recurrence
+/// estimates `|q_{j+1}·q_k|`; only when an estimate exceeds `√ε` is the new
+/// vector orthogonalized against the whole basis, and the next one after
+/// it. That keeps the basis semi-orthogonal at a fraction of the cost.
+fn lanczos(graph: &Graph, start: &[f64]) -> Krylov {
     let n = graph.num_vertices();
     let steps = MAX_LANCZOS_STEPS.min(n - 1);
+    // A run that nearly spans the space loses orthogonality faster than the
+    // estimate tracks it, so such runs orthogonalize at every step.
+    let every_step = 2 * steps > n;
+    let eps1 = f64::EPSILON * (n as f64).sqrt();
+    let threshold = f64::EPSILON.sqrt();
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(steps);
     let mut alphas: Vec<f64> = Vec::with_capacity(steps);
     let mut betas: Vec<f64> = Vec::with_capacity(steps);
+    let mut reorthogonalized = 0;
+    // ω_{j−1}, ω_j and ω_{j+1}: the estimated inner products of q_{j−1},
+    // q_j and the next vector with the basis.
+    let mut omega_prev: Vec<f64> = Vec::with_capacity(steps + 1);
+    let mut omega: Vec<f64> = vec![1.0];
+    let mut next: Vec<f64> = Vec::with_capacity(steps + 1);
+    // Set when the estimate triggered a reorthogonalization: the next step
+    // reorthogonalizes too (Simon's rule covers both new vectors).
+    let mut pending = false;
 
     let mut v = start.to_vec();
     project_out_ones(&mut v);
@@ -270,20 +322,38 @@ fn lanczos_smallest(graph: &Graph, start: &[f64]) -> Vec<f64> {
         let mut w = laplacian_matvec(graph, &basis[j]);
         let alpha = dot(&w, &basis[j]);
         alphas.push(alpha);
+        if j + 1 == steps {
+            break;
+        }
         axpy(&mut w, -alpha, &basis[j]);
         if j > 0 {
-            let beta_prev = betas[j - 1];
-            axpy(&mut w, -beta_prev, &basis[j - 1]);
+            axpy(&mut w, -betas[j - 1], &basis[j - 1]);
         }
-        // Full reorthogonalization: against the ones vector and the whole
-        // basis. Keeps the tridiagonal model honest at this problem scale.
         project_out_ones(&mut w);
-        for b in &basis {
-            let c = dot(&w, b);
-            axpy(&mut w, -c, b);
+        let mut beta = norm(&w);
+
+        next.clear();
+        for k in 0..j {
+            let mut t = betas[k] * omega[k + 1] + (alphas[k] - alpha) * omega[k]
+                - betas[j - 1] * omega_prev[k];
+            if k > 0 {
+                t += betas[k - 1] * omega[k - 1];
+            }
+            next.push((t + eps1.copysign(t)) / beta);
         }
-        let beta = norm(&w);
-        if beta < 1e-10 || j + 1 == steps {
+        next.extend([eps1, 1.0]);
+        let forced = std::mem::take(&mut pending);
+        if every_step || forced || next[..j].iter().any(|x| x.abs() > threshold) {
+            for b in &basis {
+                let c = dot(&w, b);
+                axpy(&mut w, -c, b);
+            }
+            beta = norm(&w);
+            next[..=j].fill(eps1);
+            pending = !forced;
+            reorthogonalized += 1;
+        }
+        if beta < 1e-10 {
             break;
         }
         betas.push(beta);
@@ -291,19 +361,15 @@ fn lanczos_smallest(graph: &Graph, start: &[f64]) -> Vec<f64> {
             *x /= beta;
         }
         basis.push(w);
+        std::mem::swap(&mut omega_prev, &mut omega);
+        std::mem::swap(&mut omega, &mut next);
     }
-
-    let k = alphas.len();
-    // Eigenvectors come sorted by ascending eigenvalue: take the smallest.
-    let s = tridiag_eigen(&alphas, &betas[..k.saturating_sub(1)])
-        .1
-        .swap_remove(0);
-    let mut out = vec![0.0; n];
-    for (j, b) in basis.iter().enumerate().take(k) {
-        axpy(&mut out, s[j], b);
+    Krylov {
+        basis,
+        alphas,
+        betas,
+        reorthogonalized,
     }
-    normalize(&mut out);
-    out
 }
 
 /// `y = L x` for the combinatorial Laplacian.
@@ -362,18 +428,67 @@ fn normalize(v: &mut [f64]) -> f64 {
 /// the unit eigenvector for `eigenvalues[j]`.
 pub fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>) {
     let n = diag.len();
+    // Column-major: z[c * n + r] is row r of column c, so each Givens
+    // rotation sweeps two contiguous columns. Columns become eigenvectors.
+    let mut z = vec![0.0; n * n];
+    for i in 0..n {
+        z[i * n + i] = 1.0;
+    }
+    let d = implicit_ql(diag, offdiag, |i, c, s| {
+        let (head, tail) = z.split_at_mut((i + 1) * n);
+        let zi = &mut head[i * n..];
+        let zi1 = &mut tail[..n];
+        for (a, b) in zi.iter_mut().zip(zi1.iter_mut()) {
+            let h = *b;
+            *b = s * *a + c * h;
+            *a = c * *a - s * h;
+        }
+    });
+
+    // Sort ascending, carrying eigenvectors (columns of z).
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("eigenvalues are finite"));
+    let eigvals: Vec<f64> = order.iter().map(|&j| d[j]).collect();
+    let eigvecs: Vec<Vec<f64>> = order
+        .iter()
+        .map(|&j| z[j * n..(j + 1) * n].to_vec())
+        .collect();
+    (eigvals, eigvecs)
+}
+
+/// The unit eigenvector of the smallest eigenvalue of a symmetric
+/// tridiagonal matrix: column 0 of [`tridiag_eigen`], at the cost of one
+/// vector. The eigenvector accumulator is `I · G_1 ⋯ G_R`, so its column
+/// `m` is `G_1 ⋯ G_R e_m`: the rotations are logged, then applied to `e_m`
+/// last first.
+fn smallest_eigenvector(diag: &[f64], offdiag: &[f64]) -> Vec<f64> {
+    let mut rotations: Vec<(usize, f64, f64)> = Vec::new();
+    let d = implicit_ql(diag, offdiag, |i, c, s| rotations.push((i, c, s)));
+    // The first minimum, which the stable sort in `tridiag_eigen` puts in
+    // column 0.
+    let m = (1..d.len()).fold(0, |m, j| if d[j] < d[m] { j } else { m });
+    let mut v = vec![0.0; d.len()];
+    v[m] = 1.0;
+    for &(i, c, s) in rotations.iter().rev() {
+        let (a, b) = (v[i], v[i + 1]);
+        v[i] = c * a + s * b;
+        v[i + 1] = c * b - s * a;
+    }
+    v
+}
+
+/// The recurrences of `tql2` on the symmetric tridiagonal `(diag, offdiag)`.
+/// Each Givens rotation is reported as `rotate(i, c, s)`: it maps columns
+/// `i` and `i + 1` of the eigenvector accumulator to `c·z_i − s·z_{i+1}`
+/// and `s·z_i + c·z_{i+1}`. Returns the eigenvalues, unsorted, in the
+/// accumulator's column order.
+fn implicit_ql(diag: &[f64], offdiag: &[f64], mut rotate: impl FnMut(usize, f64, f64)) -> Vec<f64> {
+    let n = diag.len();
     assert!(n > 0, "empty tridiagonal matrix");
     assert_eq!(offdiag.len(), n - 1, "offdiag must have length n - 1");
     let mut d = diag.to_vec();
     let mut e = vec![0.0; n];
     e[..n - 1].copy_from_slice(offdiag);
-    // Column-major: z[c * n + r] is row r of column c, so each Givens
-    // rotation below sweeps two contiguous columns. Columns become
-    // eigenvectors.
-    let mut z = vec![0.0; n * n];
-    for i in 0..n {
-        z[i * n + i] = 1.0;
-    }
 
     let eps = f64::EPSILON;
     let mut f = 0.0;
@@ -426,14 +541,7 @@ pub fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>)
                     c = p / r;
                     p = c * d[i] - s * g2;
                     d[i + 1] = h + s * (c * g2 + s * d[i]);
-                    let (head, tail) = z.split_at_mut((i + 1) * n);
-                    let zi = &mut head[i * n..];
-                    let zi1 = &mut tail[..n];
-                    for (a, b) in zi.iter_mut().zip(zi1.iter_mut()) {
-                        let h = *b;
-                        *b = s * *a + c * h;
-                        *a = c * *a - s * h;
-                    }
+                    rotate(i, c, s);
                 }
                 p = -s * s2 * c3 * el1 * e[l] / dl1;
                 e[l] = s * p;
@@ -446,16 +554,7 @@ pub fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>)
         d[l] += f;
         e[l] = 0.0;
     }
-
-    // Sort ascending, carrying eigenvectors (columns of z).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("eigenvalues are finite"));
-    let eigvals: Vec<f64> = order.iter().map(|&j| d[j]).collect();
-    let eigvecs: Vec<Vec<f64>> = order
-        .iter()
-        .map(|&j| z[j * n..(j + 1) * n].to_vec())
-        .collect();
-    (eigvals, eigvecs)
+    d
 }
 
 #[cfg(test)]
@@ -823,6 +922,83 @@ mod tests {
             }
         }
         assert!(split > 100, "only {split} inputs had a zero off-diagonal");
+    }
+
+    #[test]
+    fn smallest_eigenvector_matches_tridiag_eigen_column_0() {
+        let ties = [
+            (vec![0.5; 4], vec![0.0; 3]),
+            (vec![3.0, -1.0, 2.0, -1.0], vec![0.0; 3]),
+        ];
+        for (diag, offdiag) in random_tridiagonals().chain(ties) {
+            let k = diag.len();
+            let (vals, vecs) = tridiag_eigen(&diag, &offdiag);
+            let smallest = implicit_ql(&diag, &offdiag, |_, _, _| {})
+                .into_iter()
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(smallest.to_bits(), vals[0].to_bits(), "eigenvalue, k = {k}");
+            let v = smallest_eigenvector(&diag, &offdiag);
+            let agreement = dot(&v, &vecs[0]).abs();
+            assert!(
+                agreement >= 1.0 - 1e-12,
+                "k = {k}: |<v, z_0>| = {agreement}"
+            );
+        }
+    }
+
+    /// The Lanczos runs behind the top-level Fiedler vector of `g`: the
+    /// first from the Weyl start, the second restarted from its estimate.
+    fn top_level_runs(g: &Graph) -> [Krylov; 2] {
+        let start = deterministic_start(g.num_vertices());
+        let restart = lanczos_smallest(g, &start);
+        [lanczos(g, &start), lanczos(g, &restart)]
+    }
+
+    fn max_inner_product(basis: &[Vec<f64>]) -> f64 {
+        let mut worst: f64 = 0.0;
+        for (i, a) in basis.iter().enumerate() {
+            for b in &basis[..i] {
+                worst = worst.max(dot(a, b).abs());
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn lanczos_basis_is_semi_orthogonal() {
+        // 20 and 150 vertices run at most 80 steps over more than half the
+        // space (every step orthogonalized; the estimate alone lets both
+        // restarted runs drift past 1e-6); 200, 400 and 4 356 do not.
+        let meshes = [
+            shuffled_mesh(5, 4, 2),
+            shuffled_mesh(15, 10, 2),
+            shuffled_mesh(20, 10, 2),
+            shuffled_mesh(20, 20, 3),
+            shuffled_mesh(66, 66, 5),
+        ];
+        for g in &meshes {
+            let n = g.num_vertices();
+            for run in top_level_runs(g) {
+                let steps = run.alphas.len();
+                assert_eq!(run.basis.len(), steps);
+                let worst = max_inner_product(&run.basis);
+                assert!(worst <= 1e-6, "n = {n}: max |q_i·q_j| = {worst:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn reorthogonalization_is_partial_on_large_graphs() {
+        let g = shuffled_mesh(66, 66, 5);
+        for run in top_level_runs(&g) {
+            let steps = run.alphas.len();
+            assert_eq!(steps, MAX_LANCZOS_STEPS);
+            assert!(
+                2 * run.reorthogonalized < steps,
+                "{} of {steps} steps reorthogonalized",
+                run.reorthogonalized
+            );
+        }
     }
 
     /// A shuffled, thinned triangulated grid (the paper-mesh construction
