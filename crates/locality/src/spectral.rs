@@ -8,16 +8,19 @@
 //! smoothest nontrivial embedding of the graph on a line (Pothen, Simon &
 //! Liou \[26\] in the paper's bibliography).
 //!
-//! Everything is self-contained: the Fiedler vector comes from a Lanczos
-//! iteration (deflating the trivial constant eigenvector) with partial
-//! reorthogonalization: Simon's ω-recurrence estimates how far the basis
-//! has drifted from orthogonal, and the new vector is orthogonalized
-//! against the whole basis only when an estimate passes `√ε`. A run whose
-//! step count exceeds half the vertex count (`2·steps > n`) loses
-//! orthogonality faster than the estimate tracks, so it orthogonalizes at
-//! every step. The small tridiagonal eigenproblem is solved with the
-//! classic implicit-QL (`tql2`) recurrences; the Ritz vector needs only
-//! the smallest eigenvector, which is rebuilt from the logged rotations.
+//! Everything is self-contained. A graph of `n ≥ 160` vertices gets its
+//! Fiedler vector from a Lanczos iteration (deflating the trivial constant
+//! eigenvector) with partial reorthogonalization: Simon's ω-recurrence
+//! estimates how far the basis has drifted from orthogonal, and the new
+//! vector is orthogonalized against the whole basis only when an estimate
+//! passes `√ε`. A smaller graph, on which the 80-step run would span more
+//! than half the space (`2·steps > n`) and lose orthogonality faster than
+//! the estimate tracks, is solved exactly instead: its dense Laplacian is
+//! reduced to tridiagonal form by Householder reflections. Either way the
+//! one eigenpair needed from a tridiagonal matrix comes from a Sturm-count
+//! bisection for the eigenvalue and inverse iteration for its vector.
+//! Each subproblem's graph is induced from its parent's, so the
+//! bookkeeping shrinks with the recursion.
 //!
 //! # Concurrency and determinism
 //!
@@ -36,7 +39,7 @@ use crate::graph::Graph;
 use crate::ordering::Ordering;
 
 /// Subproblems at or below this size are ordered by BFS instead of another
-/// eigen-solve (Lanczos on tiny graphs is all overhead).
+/// eigen-solve (an eigen-solve on tiny graphs is all overhead).
 const SMALL_CUTOFF: usize = 8;
 
 /// Sibling subproblems are ordered concurrently only when both sides have at
@@ -58,26 +61,26 @@ pub fn spectral_ordering(graph: &Graph) -> Ordering {
 /// [`spectral_ordering`] with an explicit thread budget (`threads ≥ 1`).
 fn spectral_ordering_with(graph: &Graph, threads: usize) -> Ordering {
     let ids: Vec<u32> = (0..graph.num_vertices() as u32).collect();
-    Ordering::from_sequence(&rsb(graph, ids, threads))
+    Ordering::from_sequence(&rsb(graph, &ids, threads))
 }
 
-/// Orders the vertex set `ids` of `root`; returns it as a sequence segment.
-fn rsb(root: &Graph, ids: Vec<u32>, threads: usize) -> Vec<u32> {
-    if ids.len() <= SMALL_CUTOFF {
-        return order_small(root, &ids);
+/// Orders the subproblem `sub`, whose vertex `i` is root vertex `back[i]`;
+/// returns the root ids as a sequence segment.
+fn rsb(sub: &Graph, back: &[u32], threads: usize) -> Vec<u32> {
+    if sub.num_vertices() <= SMALL_CUTOFF {
+        return order_small(sub, back);
     }
-    let (sub, back) = root.induced_subgraph(&ids);
     let (comp, count) = sub.connected_components();
     if count > 1 {
         // Order per component in component order (components are
         // discovered in ascending vertex order, so this is deterministic).
         let mut groups: Vec<Vec<u32>> = vec![Vec::new(); count];
         for (v, &c) in comp.iter().enumerate() {
-            groups[c as usize].push(back[v]);
+            groups[c as usize].push(v as u32);
         }
-        return rsb_groups(root, groups, threads);
+        return rsb_groups(sub, back, groups, threads);
     }
-    let fiedler = fiedler_vector(&sub);
+    let fiedler = fiedler_vector(sub);
     let mut order: Vec<u32> = (0..sub.num_vertices() as u32).collect();
     order.sort_by(|&a, &b| {
         fiedler[a as usize]
@@ -91,18 +94,21 @@ fn rsb(root: &Graph, ids: Vec<u32>, threads: usize) -> Vec<u32> {
     // consistently directed — otherwise the seam edge between two halves can
     // span a whole segment.
     orient_to_parent(&mut order);
-    let mid = order.len() / 2;
-    let left: Vec<u32> = order[..mid].iter().map(|&v| back[v as usize]).collect();
-    let right: Vec<u32> = order[mid..].iter().map(|&v| back[v as usize]).collect();
-    rsb_groups(root, vec![left, right], threads)
+    let right = order.split_off(order.len() / 2);
+    rsb_groups(sub, back, vec![order, right], threads)
 }
 
-/// Orders each group and concatenates the segments in group order. The
+/// Orders each group (vertex ids of `parent`) and concatenates the segments
+/// in group order. Each group is ordered on its subgraph induced from
+/// `parent`, so the induced-subgraph work shrinks with the recursion. The
 /// group list is halved recursively; the two halves run concurrently when
 /// the budget allows and both hold at least [`PARALLEL_CUTOFF`] vertices.
-fn rsb_groups(root: &Graph, mut groups: Vec<Vec<u32>>, threads: usize) -> Vec<u32> {
+fn rsb_groups(parent: &Graph, back: &[u32], mut groups: Vec<Vec<u32>>, threads: usize) -> Vec<u32> {
     if groups.len() == 1 {
-        return rsb(root, groups.pop().expect("one group"), threads);
+        let group = groups.pop().expect("one group");
+        let (sub, _) = parent.induced_subgraph(&group);
+        let sub_back: Vec<u32> = group.iter().map(|&v| back[v as usize]).collect();
+        return rsb(&sub, &sub_back, threads);
     }
     let right = groups.split_off(groups.len() / 2);
     let size = |gs: &[Vec<u32>]| gs.iter().map(Vec::len).sum::<usize>();
@@ -111,14 +117,14 @@ fn rsb_groups(root: &Graph, mut groups: Vec<Vec<u32>>, threads: usize) -> Vec<u3
     let (mut seq, tail) = if concurrent {
         let left_threads = threads / 2;
         std::thread::scope(|s| {
-            let left = s.spawn(|| rsb_groups(root, groups, left_threads));
-            let tail = rsb_groups(root, right, threads - left_threads);
+            let left = s.spawn(|| rsb_groups(parent, back, groups, left_threads));
+            let tail = rsb_groups(parent, back, right, threads - left_threads);
             (left.join().expect("RSB subtree thread panicked"), tail)
         })
     } else {
         (
-            rsb_groups(root, groups, threads),
-            rsb_groups(root, right, threads),
+            rsb_groups(parent, back, groups, threads),
+            rsb_groups(parent, back, right, threads),
         )
     };
     seq.extend(tail);
@@ -143,14 +149,11 @@ fn orient_to_parent(order: &mut [u32]) {
     }
 }
 
-/// Orders a small vertex set by BFS over its induced subgraph, starting from
-/// a pseudo-peripheral vertex (the Cuthill–McKee trick: BFS from an endpoint
-/// keeps chains sequential), oriented to match the parent order.
-fn order_small(root: &Graph, ids: &[u32]) -> Vec<u32> {
-    if ids.is_empty() {
-        return Vec::new();
-    }
-    let (sub, back) = root.induced_subgraph(ids);
+/// Orders a small subproblem (vertex `i` is root vertex `back[i]`) by BFS,
+/// starting from a pseudo-peripheral vertex (the Cuthill–McKee trick: BFS
+/// from an endpoint keeps chains sequential), oriented to match the parent
+/// order.
+fn order_small(sub: &Graph, back: &[u32]) -> Vec<u32> {
     let n = sub.num_vertices();
     let mut local: Vec<u32> = Vec::with_capacity(n);
     let mut seen = vec![false; n];
@@ -160,7 +163,7 @@ fn order_small(root: &Graph, ids: &[u32]) -> Vec<u32> {
         }
         // Double BFS: find the farthest vertex from `start` within this
         // component, then BFS from there.
-        let far = bfs_farthest(&sub, start, &seen);
+        let far = bfs_farthest(sub, start, &seen);
         let mut queue = std::collections::VecDeque::new();
         seen[far] = true;
         queue.push_back(far);
@@ -202,15 +205,19 @@ fn bfs_farthest(sub: &Graph, start: usize, global_seen: &[bool]) -> usize {
     best
 }
 
-/// Computes (an approximation of) the Fiedler vector of a **connected**
-/// graph: the eigenvector of `L = D − A` for the second-smallest eigenvalue,
-/// normalized to unit length. The sign is fixed so the first nonzero
-/// component is positive (deterministic output).
+/// Computes the Fiedler vector of a **connected** graph: the eigenvector of
+/// `L = D − A` for the second-smallest eigenvalue, normalized to unit
+/// length. The sign is fixed so the first nonzero component is positive
+/// (deterministic output).
 ///
-/// Two Lanczos runs of up to 80 steps with partial reorthogonalization (the
+/// A graph on which an 80-step Lanczos run would span more than half the
+/// space (`2·steps > n`, i.e. `n < 160`) is solved exactly and densely: the
+/// Laplacian is reduced to tridiagonal form by Householder reflections, λ₂
+/// is found by Sturm-count bisection, its eigenvector by inverse iteration,
+/// and the reflections map that one vector back. Larger graphs get two
+/// Lanczos runs of up to 80 steps with partial reorthogonalization (the
 /// basis is orthogonalized only when its estimated loss of orthogonality
-/// passes `√ε`, and at every step when `2·steps > n`), the second restarted
-/// from the first run's Ritz vector.
+/// passes `√ε`), the second restarted from the first run's Ritz vector.
 ///
 /// # Panics
 /// Panics if the graph is empty.
@@ -227,12 +234,15 @@ pub fn fiedler_vector(graph: &Graph) -> Vec<f64> {
         ];
     }
 
-    // Two passes: the second restarts from the first estimate, which is
-    // plenty for partitioning accuracy on meshes.
-    let mut start = deterministic_start(n);
-    let mut estimate = lanczos_smallest(graph, &start);
-    start.clone_from(&estimate);
-    estimate = lanczos_smallest(graph, &start);
+    let mut estimate = if 2 * MAX_LANCZOS_STEPS.min(n - 1) > n {
+        dense_fiedler(graph)
+    } else {
+        // Two passes: the second restarts from the first estimate, which is
+        // plenty for partitioning accuracy on meshes.
+        let start = deterministic_start(n);
+        let restart = lanczos_smallest(graph, &start);
+        lanczos_smallest(graph, &restart)
+    };
 
     // Fix sign.
     if let Some(&first) = estimate.iter().find(|&&x| x.abs() > 1e-12) {
@@ -248,29 +258,102 @@ pub fn fiedler_vector(graph: &Graph) -> Vec<f64> {
 /// A deterministic pseudo-random start vector orthogonal to the constant
 /// vector.
 fn deterministic_start(n: usize) -> Vec<f64> {
-    let mut v: Vec<f64> = (0..n)
-        .map(|i| {
-            // Weyl sequence: irrational rotation is uniform and cheap.
-            let x = (i as f64 + 1.0) * std::f64::consts::SQRT_2;
-            x.fract() - 0.5
-        })
-        .collect();
+    let mut v = weyl(n);
     project_out_ones(&mut v);
     normalize(&mut v);
     v
+}
+
+/// `n` terms of a Weyl sequence centred on zero: an irrational rotation is
+/// uniform and cheap.
+fn weyl(n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| ((i as f64 + 1.0) * std::f64::consts::SQRT_2).fract() - 0.5)
+        .collect()
 }
 
 /// One Lanczos run on the Laplacian, deflating the constant vector; returns
 /// the Ritz vector for the smallest remaining eigenvalue (≈ λ₂).
 fn lanczos_smallest(graph: &Graph, start: &[f64]) -> Vec<f64> {
     let krylov = lanczos(graph, start);
-    let s = smallest_eigenvector(&krylov.alphas, &krylov.betas);
+    let theta = tridiag_eigenvalue(&krylov.alphas, &krylov.betas, 0);
+    let s = tridiag_eigenvector(&krylov.alphas, &krylov.betas, theta);
     let mut out = vec![0.0; graph.num_vertices()];
     for (&sj, b) in s.iter().zip(&krylov.basis) {
         axpy(&mut out, sj, b);
     }
     normalize(&mut out);
     out
+}
+
+/// The exact Fiedler vector of a small connected graph (`n ≥ 3`), before
+/// the sign fix. The dense Laplacian is reduced to a tridiagonal `T = QᵀLQ`
+/// with `Q = H_0 ⋯ H_{n−3}`; the eigenvector `y` of `T` for λ₂ maps back to
+/// `Q y`. The matrix is stored whole (row-major), so every inner loop runs
+/// along a contiguous row.
+fn dense_fiedler(graph: &Graph) -> Vec<f64> {
+    let n = graph.num_vertices();
+    let mut a = vec![0.0; n * n];
+    for i in 0..n {
+        a[i * n + i] = graph.degree(i) as f64;
+        for &j in graph.neighbors(i) {
+            a[i * n + j as usize] = -1.0;
+        }
+    }
+    let mut diag = vec![0.0; n];
+    let mut offdiag = vec![0.0; n - 1];
+    // Step k reflects rows and columns k+1.. with H_k = I − τ_k v vᵀ, which
+    // maps row (and column) k past the diagonal to `offdiag[k]·e_{k+1}`;
+    // `v` is kept in that row for the back-transform.
+    let mut taus = vec![0.0; n - 2];
+    let mut v = vec![0.0; n];
+    let mut p = vec![0.0; n];
+    for k in 0..n - 2 {
+        diag[k] = a[k * n + k];
+        let lo = k + 1;
+        let row_k = k * n + lo..(k + 1) * n;
+        v[lo..].copy_from_slice(&a[row_k.clone()]);
+        let alpha = norm(&v[lo..]);
+        if alpha == 0.0 {
+            continue;
+        }
+        let beta = if v[lo] > 0.0 { -alpha } else { alpha };
+        offdiag[k] = beta;
+        v[lo] -= beta;
+        let tau = -1.0 / (beta * v[lo]);
+        taus[k] = tau;
+        a[row_k].copy_from_slice(&v[lo..]);
+        // p = τ·A₂₂v, column by column (A₂₂ is symmetric).
+        p[lo..].fill(0.0);
+        for j in lo..n {
+            axpy(&mut p[lo..], tau * v[j], &a[j * n + lo..(j + 1) * n]);
+        }
+        // A₂₂ ← H A₂₂ H = A₂₂ − v wᵀ − w vᵀ with w = p − (τ/2)(pᵀv) v.
+        let half = 0.5 * tau * dot(&p[lo..], &v[lo..]);
+        axpy(&mut p[lo..], -half, &v[lo..]);
+        for i in lo..n {
+            let (vi, wi) = (v[i], p[i]);
+            let row = a[i * n + lo..(i + 1) * n].iter_mut();
+            for ((x, &wj), &vj) in row.zip(&p[lo..]).zip(&v[lo..]) {
+                *x -= vi * wj + wi * vj;
+            }
+        }
+    }
+    diag[n - 2] = a[(n - 2) * n + n - 2];
+    diag[n - 1] = a[(n - 1) * n + n - 1];
+    offdiag[n - 2] = a[(n - 2) * n + n - 1];
+
+    let lambda2 = tridiag_eigenvalue(&diag, &offdiag, 1);
+    let mut y = tridiag_eigenvector(&diag, &offdiag, lambda2);
+    for k in (0..n - 2).rev() {
+        let lo = k + 1;
+        let v = &a[k * n + lo..(k + 1) * n];
+        let s = taus[k] * dot(v, &y[lo..]);
+        axpy(&mut y[lo..], -s, v);
+    }
+    project_out_ones(&mut y);
+    normalize(&mut y);
+    y
 }
 
 /// One Lanczos run: the basis `q_0 … q_{k−1}` and the tridiagonal model
@@ -293,8 +376,11 @@ fn lanczos(graph: &Graph, start: &[f64]) -> Krylov {
     let n = graph.num_vertices();
     let steps = MAX_LANCZOS_STEPS.min(n - 1);
     // A run that nearly spans the space loses orthogonality faster than the
-    // estimate tracks it, so such runs orthogonalize at every step.
-    let every_step = 2 * steps > n;
+    // estimate tracks it; `fiedler_vector` solves such graphs densely.
+    debug_assert!(
+        2 * steps <= n,
+        "Lanczos on {n} vertices would need full reorthogonalization"
+    );
     let eps1 = f64::EPSILON * (n as f64).sqrt();
     let threshold = f64::EPSILON.sqrt();
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(steps);
@@ -343,7 +429,7 @@ fn lanczos(graph: &Graph, start: &[f64]) -> Krylov {
         }
         next.extend([eps1, 1.0]);
         let forced = std::mem::take(&mut pending);
-        if every_step || forced || next[..j].iter().any(|x| x.abs() > threshold) {
+        if forced || next[..j].iter().any(|x| x.abs() > threshold) {
             for b in &basis {
                 let c = dot(&w, b);
                 axpy(&mut w, -c, b);
@@ -420,141 +506,125 @@ fn normalize(v: &mut [f64]) -> f64 {
     n
 }
 
-/// Eigen-decomposition of a symmetric tridiagonal matrix via implicit QL
-/// with shifts (the classic `tql2`). `diag` has length `k`; `offdiag` has
-/// length `k − 1` (`offdiag[i]` couples `i` and `i + 1`).
-///
-/// Returns `(eigenvalues ascending, eigenvectors)` with `eigenvectors[j]`
-/// the unit eigenvector for `eigenvalues[j]`.
-pub fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>) {
-    let n = diag.len();
-    // Column-major: z[c * n + r] is row r of column c, so each Givens
-    // rotation sweeps two contiguous columns. Columns become eigenvectors.
-    let mut z = vec![0.0; n * n];
-    for i in 0..n {
-        z[i * n + i] = 1.0;
+/// The `index`-th smallest (0-based) eigenvalue of the symmetric
+/// tridiagonal `(diag, offdiag)` by bisection on the Sturm count, to within
+/// `2ε‖T‖`. `offdiag[i]` couples `i` and `i + 1`.
+fn tridiag_eigenvalue(diag: &[f64], offdiag: &[f64], index: usize) -> f64 {
+    let k = diag.len();
+    assert!(index < k, "eigenvalue {index} of a {k}×{k} matrix");
+    assert_eq!(offdiag.len(), k - 1, "offdiag must have length n - 1");
+    // Gershgorin interval: count(lo) = 0 ≤ index < k = count(hi).
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for (i, &d) in diag.iter().enumerate() {
+        let r = offdiag.get(i).map_or(0.0, |e| e.abs())
+            + offdiag.get(i.wrapping_sub(1)).map_or(0.0, |e| e.abs());
+        lo = lo.min(d - r);
+        hi = hi.max(d + r);
     }
-    let d = implicit_ql(diag, offdiag, |i, c, s| {
-        let (head, tail) = z.split_at_mut((i + 1) * n);
-        let zi = &mut head[i * n..];
-        let zi1 = &mut tail[..n];
-        for (a, b) in zi.iter_mut().zip(zi1.iter_mut()) {
-            let h = *b;
-            *b = s * *a + c * h;
-            *a = c * *a - s * h;
+    let tol = 2.0 * f64::EPSILON * lo.abs().max(hi.abs());
+    lo -= tol;
+    hi += tol;
+    let squares: Vec<f64> = offdiag.iter().map(|e| e * e).collect();
+    // Smallest pivot magnitude in the Sturm recurrence (LAPACK's `pivmin`).
+    let pivmin = f64::MIN_POSITIVE * squares.iter().fold(1.0, |m: f64, &e| m.max(e));
+    while hi - lo > tol {
+        let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            break;
         }
-    });
+        // Sturm count: the number of negative pivots of `T − mid·I` is the
+        // number of eigenvalues below `mid`.
+        let mut q = diag[0] - mid;
+        let mut count = 0;
+        for i in 0..k {
+            if i > 0 {
+                q = diag[i] - mid - squares[i - 1] / q;
+            }
+            if q.abs() < pivmin {
+                q = -pivmin;
+            }
+            count += usize::from(q < 0.0);
+        }
+        if count > index {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    0.5 * (lo + hi)
+}
 
-    // Sort ascending, carrying eigenvectors (columns of z).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("eigenvalues are finite"));
-    let eigvals: Vec<f64> = order.iter().map(|&j| d[j]).collect();
-    let eigvecs: Vec<Vec<f64>> = order
+/// The unit eigenvector of the symmetric tridiagonal `(diag, offdiag)` for
+/// its eigenvalue `lambda` (as returned by [`tridiag_eigenvalue`]), by
+/// inverse iteration: `T − λI` is factored once by LU with partial
+/// pivoting, then solved three times from a deterministic start,
+/// normalizing in between. Each solve scales the wanted eigenvector's
+/// component by `|λ̂ − λ|⁻¹ ≈ (ε‖T‖)⁻¹` and every other one by at most the
+/// inverse gap.
+fn tridiag_eigenvector(diag: &[f64], offdiag: &[f64], lambda: f64) -> Vec<f64> {
+    let k = diag.len();
+    if k == 1 {
+        return vec![1.0];
+    }
+    let scale = diag
         .iter()
-        .map(|&j| z[j * n..(j + 1) * n].to_vec())
-        .collect();
-    (eigvals, eigvecs)
-}
-
-/// The unit eigenvector of the smallest eigenvalue of a symmetric
-/// tridiagonal matrix: column 0 of [`tridiag_eigen`], at the cost of one
-/// vector. The eigenvector accumulator is `I · G_1 ⋯ G_R`, so its column
-/// `m` is `G_1 ⋯ G_R e_m`: the rotations are logged, then applied to `e_m`
-/// last first.
-fn smallest_eigenvector(diag: &[f64], offdiag: &[f64]) -> Vec<f64> {
-    let mut rotations: Vec<(usize, f64, f64)> = Vec::new();
-    let d = implicit_ql(diag, offdiag, |i, c, s| rotations.push((i, c, s)));
-    // The first minimum, which the stable sort in `tridiag_eigen` puts in
-    // column 0.
-    let m = (1..d.len()).fold(0, |m, j| if d[j] < d[m] { j } else { m });
-    let mut v = vec![0.0; d.len()];
-    v[m] = 1.0;
-    for &(i, c, s) in rotations.iter().rev() {
-        let (a, b) = (v[i], v[i + 1]);
-        v[i] = c * a + s * b;
-        v[i + 1] = c * b - s * a;
-    }
-    v
-}
-
-/// The recurrences of `tql2` on the symmetric tridiagonal `(diag, offdiag)`.
-/// Each Givens rotation is reported as `rotate(i, c, s)`: it maps columns
-/// `i` and `i + 1` of the eigenvector accumulator to `c·z_i − s·z_{i+1}`
-/// and `s·z_i + c·z_{i+1}`. Returns the eigenvalues, unsorted, in the
-/// accumulator's column order.
-fn implicit_ql(diag: &[f64], offdiag: &[f64], mut rotate: impl FnMut(usize, f64, f64)) -> Vec<f64> {
-    let n = diag.len();
-    assert!(n > 0, "empty tridiagonal matrix");
-    assert_eq!(offdiag.len(), n - 1, "offdiag must have length n - 1");
-    let mut d = diag.to_vec();
-    let mut e = vec![0.0; n];
-    e[..n - 1].copy_from_slice(offdiag);
-
-    let eps = f64::EPSILON;
-    let mut f = 0.0;
-    let mut tst1: f64 = 0.0;
-    for l in 0..n {
-        tst1 = tst1.max(d[l].abs() + e[l].abs());
-        let mut m = l;
-        while m < n {
-            if e[m].abs() <= eps * tst1 {
-                break;
+        .chain(offdiag)
+        .fold(0.0, |m: f64, x| m.max(x.abs()));
+    // A pivot below this is replaced by it (λ is an eigenvalue to within a
+    // few ulps, so one pivot is ~0 by design).
+    let tiny = f64::EPSILON * if scale > 0.0 { scale } else { 1.0 };
+    // U has diagonal `u0` and superdiagonals `u1`, `u2`; L is unit lower
+    // bidiagonal with multipliers `l`; `swapped[i]` records a row exchange.
+    let mut u0: Vec<f64> = diag.iter().map(|d| d - lambda).collect();
+    let mut u1 = offdiag.to_vec();
+    let mut u2 = vec![0.0; k];
+    let mut l = vec![0.0; k - 1];
+    let mut swapped = vec![false; k - 1];
+    for i in 0..k - 1 {
+        let below = offdiag[i];
+        if below.abs() > u0[i].abs().max(tiny) {
+            swapped[i] = true;
+            l[i] = u0[i] / below;
+            u0[i] = below;
+            let upper = u1[i];
+            u1[i] = u0[i + 1];
+            u0[i + 1] = upper - l[i] * u0[i + 1];
+            if i + 2 < k {
+                u2[i] = u1[i + 1];
+                u1[i + 1] *= -l[i];
             }
-            m += 1;
-        }
-        if m > l {
-            let mut iter = 0;
-            loop {
-                iter += 1;
-                // Compute implicit shift.
-                let g = d[l];
-                let mut p = (d[l + 1] - g) / (2.0 * e[l]);
-                let mut r = p.hypot(1.0);
-                if p < 0.0 {
-                    r = -r;
-                }
-                d[l] = e[l] / (p + r);
-                d[l + 1] = e[l] * (p + r);
-                let dl1 = d[l + 1];
-                let h = g - d[l];
-                for item in d.iter_mut().skip(l + 2) {
-                    *item -= h;
-                }
-                f += h;
-                // Implicit QL transformation.
-                p = d[m];
-                let mut c = 1.0;
-                let mut c2 = c;
-                let mut c3 = c;
-                let el1 = e[l + 1];
-                let mut s = 0.0;
-                let mut s2 = 0.0;
-                for i in (l..m).rev() {
-                    c3 = c2;
-                    c2 = c;
-                    s2 = s;
-                    let g2 = c * e[i];
-                    let h = c * p;
-                    r = p.hypot(e[i]);
-                    e[i + 1] = s * r;
-                    s = e[i] / r;
-                    c = p / r;
-                    p = c * d[i] - s * g2;
-                    d[i + 1] = h + s * (c * g2 + s * d[i]);
-                    rotate(i, c, s);
-                }
-                p = -s * s2 * c3 * el1 * e[l] / dl1;
-                e[l] = s * p;
-                d[l] = c * p;
-                if e[l].abs() <= eps * tst1 || iter >= 50 {
-                    break;
-                }
+        } else {
+            if u0[i].abs() < tiny {
+                u0[i] = tiny;
             }
+            l[i] = below / u0[i];
+            u0[i + 1] -= l[i] * u1[i];
         }
-        d[l] += f;
-        e[l] = 0.0;
     }
-    d
+    if u0[k - 1].abs() < tiny {
+        u0[k - 1] = tiny;
+    }
+    let mut x = weyl(k);
+    for _ in 0..3 {
+        for i in 0..k - 1 {
+            if swapped[i] {
+                x.swap(i, i + 1);
+            }
+            x[i + 1] -= l[i] * x[i];
+        }
+        for i in (0..k).rev() {
+            let mut r = x[i];
+            if i + 1 < k {
+                r -= u1[i] * x[i + 1];
+            }
+            if i + 2 < k {
+                r -= u2[i] * x[i + 2];
+            }
+            x[i] = r / u0[i];
+        }
+        normalize(&mut x);
+    }
+    x
 }
 
 #[cfg(test)]
@@ -564,6 +634,126 @@ mod tests {
     use crate::metrics::average_edge_span;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    /// Eigen-decomposition of a symmetric tridiagonal matrix via implicit QL
+    /// with shifts (the classic `tql2`). `diag` has length `k`; `offdiag` has
+    /// length `k − 1` (`offdiag[i]` couples `i` and `i + 1`).
+    ///
+    /// Returns `(eigenvalues ascending, eigenvectors)` with `eigenvectors[j]`
+    /// the unit eigenvector for `eigenvalues[j]`.
+    fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>) {
+        let n = diag.len();
+        // Column-major: z[c * n + r] is row r of column c, so each Givens
+        // rotation sweeps two contiguous columns. Columns become eigenvectors.
+        let mut z = vec![0.0; n * n];
+        for i in 0..n {
+            z[i * n + i] = 1.0;
+        }
+        let d = implicit_ql(diag, offdiag, |i, c, s| {
+            let (head, tail) = z.split_at_mut((i + 1) * n);
+            let zi = &mut head[i * n..];
+            let zi1 = &mut tail[..n];
+            for (a, b) in zi.iter_mut().zip(zi1.iter_mut()) {
+                let h = *b;
+                *b = s * *a + c * h;
+                *a = c * *a - s * h;
+            }
+        });
+
+        // Sort ascending, carrying eigenvectors (columns of z).
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("eigenvalues are finite"));
+        let eigvals: Vec<f64> = order.iter().map(|&j| d[j]).collect();
+        let eigvecs: Vec<Vec<f64>> = order
+            .iter()
+            .map(|&j| z[j * n..(j + 1) * n].to_vec())
+            .collect();
+        (eigvals, eigvecs)
+    }
+
+    /// The recurrences of `tql2` on the symmetric tridiagonal `(diag, offdiag)`.
+    /// Each Givens rotation is reported as `rotate(i, c, s)`: it maps columns
+    /// `i` and `i + 1` of the eigenvector accumulator to `c·z_i − s·z_{i+1}`
+    /// and `s·z_i + c·z_{i+1}`. Returns the eigenvalues, unsorted, in the
+    /// accumulator's column order.
+    fn implicit_ql(
+        diag: &[f64],
+        offdiag: &[f64],
+        mut rotate: impl FnMut(usize, f64, f64),
+    ) -> Vec<f64> {
+        let n = diag.len();
+        assert!(n > 0, "empty tridiagonal matrix");
+        assert_eq!(offdiag.len(), n - 1, "offdiag must have length n - 1");
+        let mut d = diag.to_vec();
+        let mut e = vec![0.0; n];
+        e[..n - 1].copy_from_slice(offdiag);
+
+        let eps = f64::EPSILON;
+        let mut f = 0.0;
+        let mut tst1: f64 = 0.0;
+        for l in 0..n {
+            tst1 = tst1.max(d[l].abs() + e[l].abs());
+            let mut m = l;
+            while m < n {
+                if e[m].abs() <= eps * tst1 {
+                    break;
+                }
+                m += 1;
+            }
+            if m > l {
+                let mut iter = 0;
+                loop {
+                    iter += 1;
+                    // Compute implicit shift.
+                    let g = d[l];
+                    let mut p = (d[l + 1] - g) / (2.0 * e[l]);
+                    let mut r = p.hypot(1.0);
+                    if p < 0.0 {
+                        r = -r;
+                    }
+                    d[l] = e[l] / (p + r);
+                    d[l + 1] = e[l] * (p + r);
+                    let dl1 = d[l + 1];
+                    let h = g - d[l];
+                    for item in d.iter_mut().skip(l + 2) {
+                        *item -= h;
+                    }
+                    f += h;
+                    // Implicit QL transformation.
+                    p = d[m];
+                    let mut c = 1.0;
+                    let mut c2 = c;
+                    let mut c3 = c;
+                    let el1 = e[l + 1];
+                    let mut s = 0.0;
+                    let mut s2 = 0.0;
+                    for i in (l..m).rev() {
+                        c3 = c2;
+                        c2 = c;
+                        s2 = s;
+                        let g2 = c * e[i];
+                        let h = c * p;
+                        r = p.hypot(e[i]);
+                        e[i + 1] = s * r;
+                        s = e[i] / r;
+                        c = p / r;
+                        p = c * d[i] - s * g2;
+                        d[i + 1] = h + s * (c * g2 + s * d[i]);
+                        rotate(i, c, s);
+                    }
+                    p = -s * s2 * c3 * el1 * e[l] / dl1;
+                    e[l] = s * p;
+                    d[l] = c * p;
+                    if e[l].abs() <= eps * tst1 || iter >= 50 {
+                        break;
+                    }
+                }
+            }
+            d[l] += f;
+            e[l] = 0.0;
+        }
+        d
+    }
 
     fn path(n: usize) -> Graph {
         let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
@@ -924,25 +1114,125 @@ mod tests {
         assert!(split > 100, "only {split} inputs had a zero off-diagonal");
     }
 
+    /// `‖T‖∞`, the largest absolute row sum of a symmetric tridiagonal.
+    fn tridiag_norm(diag: &[f64], offdiag: &[f64]) -> f64 {
+        (0..diag.len())
+            .map(|i| {
+                diag[i].abs()
+                    + offdiag.get(i).map_or(0.0, |e| e.abs())
+                    + offdiag.get(i.wrapping_sub(1)).map_or(0.0, |e| e.abs())
+            })
+            .fold(0.0, f64::max)
+    }
+
     #[test]
     fn smallest_eigenvector_matches_tridiag_eigen_column_0() {
         let ties = [
             (vec![0.5; 4], vec![0.0; 3]),
             (vec![3.0, -1.0, 2.0, -1.0], vec![0.0; 3]),
         ];
+        let mut compared = 0;
         for (diag, offdiag) in random_tridiagonals().chain(ties) {
             let k = diag.len();
+            let t_norm = tridiag_norm(&diag, &offdiag);
             let (vals, vecs) = tridiag_eigen(&diag, &offdiag);
-            let smallest = implicit_ql(&diag, &offdiag, |_, _, _| {})
-                .into_iter()
-                .fold(f64::INFINITY, f64::min);
-            assert_eq!(smallest.to_bits(), vals[0].to_bits(), "eigenvalue, k = {k}");
-            let v = smallest_eigenvector(&diag, &offdiag);
-            let agreement = dot(&v, &vecs[0]).abs();
+            let lambda = tridiag_eigenvalue(&diag, &offdiag, 0);
             assert!(
-                agreement >= 1.0 - 1e-12,
-                "k = {k}: |<v, z_0>| = {agreement}"
+                (lambda - vals[0]).abs() <= 8.0 * f64::EPSILON * t_norm,
+                "k = {k}: bisection {lambda} vs QL {}",
+                vals[0]
             );
+            let v = tridiag_eigenvector(&diag, &offdiag, lambda);
+            assert!((norm(&v) - 1.0).abs() < 1e-12, "k = {k}: not unit length");
+            for i in 0..k {
+                let mut r = (diag[i] - lambda) * v[i];
+                if i > 0 {
+                    r += offdiag[i - 1] * v[i - 1];
+                }
+                if i + 1 < k {
+                    r += offdiag[i] * v[i + 1];
+                }
+                assert!(
+                    r.abs() <= 1e-12 * t_norm,
+                    "k = {k}: residual {r:e} at row {i}"
+                );
+            }
+            if k == 1 || vals[1] - vals[0] > 1e-8 {
+                compared += 1;
+                let agreement = dot(&v, &vecs[0]).abs();
+                assert!(
+                    agreement >= 1.0 - 1e-10,
+                    "k = {k}: |<v, z_0>| = {agreement}"
+                );
+            }
+        }
+        assert!(
+            compared > 200,
+            "only {compared} inputs had a gap above 1e-8"
+        );
+    }
+
+    fn cycle(n: usize) -> Graph {
+        let edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
+        let coords = (0..n).map(|i| [i as f64, 0.0, 0.0]).collect();
+        Graph::from_edges(n, &edges, coords, 2)
+    }
+
+    /// `max_i |(Lf − ρf)_i|` with `ρ` the Rayleigh quotient of unit `f`.
+    fn fiedler_residual(g: &Graph, f: &[f64]) -> f64 {
+        let lf = laplacian_matvec(g, f);
+        let rho = dot(f, &lf);
+        lf.iter()
+            .zip(f)
+            .map(|(y, x)| (y - rho * x).abs())
+            .fold(0.0, f64::max)
+    }
+
+    /// Unit norm, orthogonal to the constant vector, and an eigenvector of
+    /// `L` to `tol · ‖L‖∞` (`‖L‖∞ = 2·max degree`).
+    fn assert_exact_fiedler(g: &Graph, f: &[f64], tol: f64) {
+        let n = g.num_vertices();
+        assert!((norm(f) - 1.0).abs() < 1e-12, "n = {n}: not unit length");
+        let sum: f64 = f.iter().sum();
+        assert!(sum.abs() < 1e-10, "n = {n}: not mean-free, sum = {sum:e}");
+        let bound = tol * 2.0 * g.max_degree() as f64;
+        let residual = fiedler_residual(g, f);
+        assert!(
+            residual <= bound,
+            "n = {n}: residual {residual:e} > {bound:e}"
+        );
+    }
+
+    #[test]
+    fn dense_fiedler_is_an_exact_eigenvector() {
+        // λ₂ in closed form: 2 − 2cos(π/n) on a path, 2 − 2cos(2π/n) on a
+        // cycle, the longer side's path value on a grid. Cycles and the
+        // 3 × 3 grid have a doubly degenerate λ₂.
+        let lambda = |angle: f64| 2.0 - 2.0 * angle.cos();
+        let pi = std::f64::consts::PI;
+        let graphs = [
+            (path(9), Some(lambda(pi / 9.0))),
+            (cycle(9), Some(lambda(2.0 * pi / 9.0))),
+            (grid(3, 3), Some(lambda(pi / 3.0))),
+            (path(20), Some(lambda(pi / 20.0))),
+            (cycle(20), Some(lambda(2.0 * pi / 20.0))),
+            (grid(5, 4), Some(lambda(pi / 5.0))),
+            (path(159), Some(lambda(pi / 159.0))),
+            (cycle(159), Some(lambda(2.0 * pi / 159.0))),
+            (shuffled_mesh(53, 3, 4), None),
+        ];
+        for (g, lambda2) in &graphs {
+            let n = g.num_vertices();
+            assert!((9..160).contains(&n), "n = {n}");
+            let f = fiedler_vector(g);
+            assert_exact_fiedler(g, &f, 1e-10);
+            if let Some(lambda2) = lambda2 {
+                let rho = dot(&f, &laplacian_matvec(g, &f));
+                assert!(
+                    (rho - lambda2).abs() < 1e-10,
+                    "n = {n}: ρ = {rho}, λ₂ = {lambda2}"
+                );
+            }
         }
     }
 
@@ -966,12 +1256,13 @@ mod tests {
 
     #[test]
     fn lanczos_basis_is_semi_orthogonal() {
-        // 20 and 150 vertices run at most 80 steps over more than half the
-        // space (every step orthogonalized; the estimate alone lets both
-        // restarted runs drift past 1e-6); 200, 400 and 4 356 do not.
+        // 20 and 150 vertices would run at most 80 steps over more than
+        // half the space, so they are solved densely instead (exact to
+        // 1e-10·‖L‖); 200, 400 and 4 356 run Lanczos.
+        for g in [shuffled_mesh(5, 4, 2), shuffled_mesh(15, 10, 2)] {
+            assert_exact_fiedler(&g, &fiedler_vector(&g), 1e-10);
+        }
         let meshes = [
-            shuffled_mesh(5, 4, 2),
-            shuffled_mesh(15, 10, 2),
             shuffled_mesh(20, 10, 2),
             shuffled_mesh(20, 20, 3),
             shuffled_mesh(66, 66, 5),

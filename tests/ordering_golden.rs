@@ -38,16 +38,16 @@ fn spectral_ordering_matches_golden_hash() {
     let thinned = meshgen::thin_to_edges(&grid, grid.num_vertices() * 3 / 2, 3);
     let mesh = meshgen::shuffle_labels(&thinned, 3);
     let ordering = spectral_ordering(&mesh);
-    assert_eq!(fnv1a(ordering.positions()), 0x74c7_d55f_4be6_71ab);
+    assert_eq!(fnv1a(ordering.positions()), 0x475f_d54d_558f_5777);
 }
 
 #[test]
 #[ignore = "paper-size mesh; run in release with --ignored"]
 fn paper_mesh_spectral_ordering_matches_golden_hashes() {
     for (seed, golden) in [
-        (42, 0x8bbc_8f02_5228_9bdb_u64),
-        (7, 0xab0c_6a9f_2159_63b5),
-        (1234, 0x1ecd_2a4c_e406_b065),
+        (42, 0x8e6b_7ce8_de9a_846f_u64),
+        (7, 0x9ad2_75f0_6272_4937),
+        (1234, 0x9077_f083_92c3_ea6b),
     ] {
         let ordering = spectral_ordering(&meshgen::paper_mesh(seed));
         assert_eq!(
